@@ -10,8 +10,13 @@ in when time allows:
 
 The defaults below are scaled for the pure-Python substrate (the paper's
 implementation is JPF/Java on an M1); the *shape* assertions are identical
-at either size.  Rendered result tables are written to
-``benchmarks/results/`` for inclusion in EXPERIMENTS.md.
+at either size.  Rendered result tables go to the directory named by
+``REPRO_BENCH_RESULTS`` (``benchmarks/results`` to refresh the committed
+records, as the CI benchmark jobs do) and to a pytest temporary directory
+when it is unset, so a plain ``pytest`` run never rewrites the committed
+files:
+
+    REPRO_BENCH_RESULTS=benchmarks/results pytest benchmarks/test_fig14_cactus.py
 """
 
 import json
@@ -21,9 +26,6 @@ import subprocess
 from pathlib import Path
 
 import pytest
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
 
 def env_int(name: str, default: int) -> int:
     return int(os.environ.get(name, default))
@@ -46,9 +48,14 @@ SCALING_PROGRAMS = env_int("REPRO_BENCH_SCALING_PROGRAMS", 2)
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    """Where result records go: ``$REPRO_BENCH_RESULTS``, else a temp dir."""
+    configured = os.environ.get("REPRO_BENCH_RESULTS")
+    if not configured:
+        return tmp_path_factory.mktemp("bench-results")
+    path = Path(configured)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def save_result(results_dir: Path, name: str, text: str) -> None:

@@ -15,7 +15,14 @@ nodes that take the rebuild escape hatch.
 On nodes where both sides are consistent it additionally compares the full
 ``so ∪ wr ∪ forced`` closures edge-by-edge: the derived matrix must contain
 exactly the edges the batch rebuild derives, not merely agree on
-acyclicity.
+acyclicity.  On every node the per-variable writer masks derived from the
+parent must also equal the masks a cache-cold copy rebuilds from its logs,
+and the history must index by its causal matrix's own index map.
+
+A second sweep walks the explore-ce tree itself (CC) and checks, for every
+swap candidate of every node, that the swapped history built from
+readLatest's pruned history (``pruned_swap``) equals ``swap()``: same
+canonical key, same order of ``txns`` and the same ``<``.
 
 Standalone on purpose: the property must hold on every supported
 interpreter, and the auxiliary pythons (3.9/3.12) have no pytest, so
@@ -39,8 +46,13 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.apps.workloads import APPLICATIONS, client_program  # noqa: E402
 from repro.core.events import EventType, TxnId  # noqa: E402
 from repro.core.history import History  # noqa: E402
+from repro.dpor.explore import _SWAPS, StepEngine  # noqa: E402
+from repro.dpor.optimality import pruned_swap  # noqa: E402
+from repro.dpor.stats import ExplorationStats  # noqa: E402
+from repro.dpor.swaps import compute_reorderings, swap  # noqa: E402
 from repro.isolation.axioms import AXIOMS_BY_LEVEL  # noqa: E402
 from repro.isolation.base import get_level  # noqa: E402
 from repro.isolation.saturation import satisfies_by_saturation  # noqa: E402
@@ -62,6 +74,8 @@ class SweepStats:
     """Outcome of sweeping one program's exploration tree."""
 
     program: str
+    #: ``saturation`` (the DFS sweep) or ``swaps`` (the explore-ce sweep).
+    kind: str = "saturation"
     nodes: int = 0
     checks: int = 0
     #: Nodes reached with no derived state cached (the exploration root and
@@ -69,6 +83,8 @@ class SweepStats:
     rebuilds: int = 0
     #: Verdict-False nodes seen (inconsistent-state sharing exercised).
     inconsistent: int = 0
+    #: Nodes whose writer masks were derived (not rebuilt) and compared.
+    derived_masks: int = 0
     truncated: bool = False
     mismatches: List[str] = field(default_factory=list)
 
@@ -83,8 +99,38 @@ def _closure_edges(matrix):
     return {(a, b) for a in nodes for b in nodes if a != b and matrix.reaches(a, b)}
 
 
+def check_writer_masks(history: History, stats: SweepStats) -> None:
+    """Compare the derived per-variable writer masks with a rebuild."""
+    # Only masks a persistent update derived (or a rebuild made) already
+    # exist; reading the field itself does not build them.
+    derived = history._writers
+    if derived is None:
+        return
+    stats.derived_masks += 1
+    matrix = history.cached_causal_matrix()
+    if matrix is not None and history.txn_index_map() is not matrix.index_map():
+        stats.mismatches.append(
+            f"{stats.program}: history and causal matrix keep two indexes on {history!r}"
+        )
+    cold = History(history.sessions, history.txns, history.wr)
+    if history.txn_order() != cold.txn_order():
+        stats.mismatches.append(f"{stats.program}: derived dense index differs on {history!r}")
+        return
+    variables = set(derived)
+    for log in cold.txns.values():
+        variables.update(log.writes())
+    for var in sorted(variables):
+        if history.writer_mask(var) != cold.writer_mask(var):
+            stats.mismatches.append(
+                f"{stats.program}: derived writer mask of {var!r} is "
+                f"{history.writer_mask(var):b}, rebuilt {cold.writer_mask(var):b} "
+                f"on {history!r}"
+            )
+
+
 def check_node(history: History, stats: SweepStats) -> None:
     """Compare derived vs from-scratch verdicts (and closures) on one node."""
+    check_writer_masks(history, stats)
     states = history.saturation_states()
     if AXIOMS_BY_LEVEL["CC"] not in states:
         stats.rebuilds += 1
@@ -134,6 +180,9 @@ def sweep_program(
     stats = SweepStats(program=program.name)
     root = program.initial_history()
     root.causal_matrix()
+    # Build the writer masks once (any variable builds them all): every
+    # node below derives its masks from its parent's.
+    root.writer_mask("")
     check_node(root, stats)
 
     def rec(history: History) -> None:
@@ -171,6 +220,42 @@ def sweep_program(
         rec(child)
 
     rec(root)
+    return stats
+
+
+def sweep_swaps(program: Program, level_name: str = "CC", max_nodes: int = 20000) -> SweepStats:
+    """Walk ``program``'s explore-ce tree and check every swap candidate:
+    the swapped history built from the pruned history must equal
+    ``swap()``'s, including the order of ``txns`` and ``<``."""
+    level = get_level(level_name)
+    stats = SweepStats(program=program.name, kind="swaps")
+    engine = StepEngine(program, level)
+    explore_stats = ExplorationStats()
+    stack = [engine.initial_item()]
+    while stack:
+        if stats.nodes >= max_nodes:
+            stats.truncated = True
+            break
+        kind, oh = stack.pop()
+        stats.nodes += 1
+        check_writer_masks(oh.history, stats)
+        if kind == _SWAPS:
+            for read, target in compute_reorderings(oh):
+                stats.checks += 1
+                want = swap(oh, read, target)
+                got, _pruned, _doomed = pruned_swap(oh, read, target, level)
+                if (
+                    got.history.canonical_key() != want.history.canonical_key()
+                    or tuple(got.history.txns) != tuple(want.history.txns)
+                    or got.history.sessions != want.history.sessions
+                    or got.order != want.order
+                ):
+                    stats.mismatches.append(
+                        f"{stats.program}: pruned swap of ({read!r}, {target!r}) "
+                        f"differs from swap(): {got!r} vs {want!r}"
+                    )
+        pushed, _outputs = engine.step(oh, kind, explore_stats)
+        stack.extend(reversed(pushed))
     return stats
 
 
@@ -272,8 +357,22 @@ def run_sweeps(
         verdict = "ok" if stats.ok else f"{len(stats.mismatches)} MISMATCH(ES)"
         report(
             f"{stats.program:>14}: {stats.nodes:6d} nodes, {stats.checks:6d} checks, "
-            f"{stats.rebuilds:4d} rebuilds, {stats.inconsistent:5d} inconsistent — "
-            f"{verdict}{flags}"
+            f"{stats.rebuilds:4d} rebuilds, {stats.inconsistent:5d} inconsistent, "
+            f"{stats.derived_masks:6d} derived masks — {verdict}{flags}"
+        )
+        for line in stats.mismatches:
+            report(f"    {line}")
+    # The application programs offer far more swap candidates than the
+    # small programs above.
+    programs.extend(client_program(app, 3, 3, 0) for app in APPLICATIONS)
+    for program in programs:
+        stats = sweep_swaps(program, max_nodes=max_nodes)
+        all_stats.append(stats)
+        flags = " TRUNCATED" if stats.truncated else ""
+        verdict = "ok" if stats.ok else f"{len(stats.mismatches)} MISMATCH(ES)"
+        report(
+            f"{stats.program:>14}: {stats.nodes:6d} explore-ce nodes, "
+            f"{stats.checks:6d} swaps vs pruned swaps — {verdict}{flags}"
         )
         for line in stats.mismatches:
             report(f"    {line}")
@@ -289,13 +388,14 @@ def main(argv: Sequence[str] = None) -> int:
     args = parser.parse_args(argv)
     all_stats = run_sweeps(seeds=args.seeds, max_nodes=args.max_nodes)
     bad = sum(len(s.mismatches) for s in all_stats)
-    rebuilds = sum(s.rebuilds for s in all_stats)
+    saturation = [s for s in all_stats if s.kind == "saturation"]
+    rebuilds = sum(s.rebuilds for s in saturation)
     print(
         f"{sum(s.checks for s in all_stats)} checks over "
         f"{sum(s.nodes for s in all_stats)} nodes ({rebuilds} rebuild-path), "
         f"{bad} mismatch(es)"
     )
-    if rebuilds <= len(all_stats):
+    if rebuilds <= len(saturation):
         # Only the per-sweep root cold-starts — the abort-stream program
         # failed to exercise the rebuild escape hatch; treat as a harness
         # bug rather than a pass.

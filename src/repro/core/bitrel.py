@@ -40,7 +40,7 @@ for heterogeneous event graphs and for the brute-force reference checker.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 try:  # Optional acceleration for wide (> 64 node) full closures only.
     import numpy as _np
@@ -115,9 +115,18 @@ class RelationMatrix:
     #: path actually recycles instead of allocating per candidate).
     buffer_reuses: int = 0
 
-    def __init__(self, nodes: Iterable[Node], edges: Iterable[Tuple[Node, Node]] = ()):
+    def __init__(
+        self,
+        nodes: Iterable[Node],
+        edges: Iterable[Tuple[Node, Node]] = (),
+        index: Optional[Dict[Node, int]] = None,
+    ):
         self._nodes: Tuple[Node, ...] = tuple(nodes)
-        self._index: Dict[Node, int] = {n: i for i, n in enumerate(self._nodes)}
+        # ``index``, when given, is the position map of ``nodes`` (a
+        # history passes its own, so the two share one map).
+        self._index: Dict[Node, int] = (
+            {n: i for i, n in enumerate(self._nodes)} if index is None else index
+        )
         if len(self._index) != len(self._nodes):
             raise ValueError("duplicate nodes in RelationMatrix universe")
         n = len(self._nodes)
@@ -263,6 +272,10 @@ class RelationMatrix:
     def index_of(self, node: Node) -> int:
         """Dense index of ``node`` (stable for the lifetime of the matrix)."""
         return self._index[node]
+
+    def index_map(self) -> Dict[Node, int]:
+        """Node → dense index, the map itself (shared: never mutate it)."""
+        return self._index
 
     def node_at(self, index: int) -> Node:
         return self._nodes[index]

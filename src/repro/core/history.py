@@ -17,13 +17,20 @@ Design notes
 * The distinguished ``init`` transaction (session :data:`~repro.core.events.INIT_SESSION`)
   writes the initial value of every global variable and precedes all other
   transactions in ``so``.
+* A transaction's **dense index** is its position in ``txns``.  The history
+  and its cached causal :class:`~repro.core.bitrel.RelationMatrix` share
+  one index map, so a bitmask over transactions means the same thing to
+  the history, its closure and the saturation states derived from both.
+  Each history keeps one such mask per variable (the visible writers of
+  the variable), derived from its parent's by the persistent updates: a
+  first write sets one bit, an abort clears the transaction's bits.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from .bitrel import RelationMatrix
+from .bitrel import RelationMatrix, iter_bits
 from .events import INIT_TXN, Event, EventId, EventType, TxnId
 from .relations import downward_closed, make_adjacency, reachable_from
 
@@ -36,7 +43,7 @@ class TransactionLog:
     present, is maximal.
     """
 
-    __slots__ = ("tid", "events", "_final", "_writes", "_descriptor")
+    __slots__ = ("tid", "events", "_final", "_reads", "_writes", "_descriptor")
 
     def __init__(self, tid: TxnId, events: Tuple[Event, ...]):
         self.tid = tid
@@ -45,6 +52,7 @@ class TransactionLog:
         # properties below are the most-called functions of the whole
         # exploration, so they must be single identity compares.
         self._final = events[-1].type if events else None
+        self._reads: Optional[Tuple[Event, ...]] = None
 
     # -- construction -----------------------------------------------------
 
@@ -93,8 +101,14 @@ class TransactionLog:
     # -- reads and writes ---------------------------------------------------
 
     def reads(self) -> Tuple[Event, ...]:
-        """``reads(t)``: external READ events (no earlier same-var write in po)."""
-        return tuple(e for e in self.events if e.is_external_read)
+        """``reads(t)``: external READ events (no earlier same-var write in po).
+
+        Cached like :meth:`writes`: swap-candidate search lists every read
+        of the history at every completed transaction."""
+        reads = self._reads
+        if reads is None:
+            reads = self._reads = tuple(e for e in self.events if e.is_external_read)
+        return reads
 
     def writes(self) -> Dict[str, Event]:
         """``writes(t)``: var → last WRITE event; empty for aborted logs.
@@ -169,7 +183,7 @@ class History:
     *event* to the transaction id it reads from.
     """
 
-    __slots__ = ("sessions", "txns", "wr", "_cache")
+    __slots__ = ("sessions", "txns", "wr", "_cache", "_tids", "_index", "_writers")
 
     def __init__(
         self,
@@ -181,6 +195,12 @@ class History:
         self.txns: Dict[TxnId, TransactionLog] = dict(txns)
         self.wr: Dict[EventId, TxnId] = dict(wr)
         self._cache: Dict[str, object] = {}
+        # The dense index (shared with the causal matrix, see txn_order)
+        # and the per-variable writer masks, built on first use and
+        # derived by the persistent updates after.
+        self._tids: Optional[Tuple[TxnId, ...]] = None
+        self._index: Optional[Dict[TxnId, int]] = None
+        self._writers: Optional[Dict[str, int]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -219,6 +239,11 @@ class History:
         child.txns = self.txns if txns is None else txns
         child.wr = self.wr if wr is None else wr
         child._cache = {}
+        # Same transactions in the same order unless the caller re-derives:
+        # the index and the writer masks are shared (never mutated).
+        child._tids = self._tids
+        child._index = self._index
+        child._writers = self._writers
         return child
 
     def begin_transaction(self, session: str) -> Tuple["History", TxnId]:
@@ -232,6 +257,11 @@ class History:
         txns = dict(self.txns)
         txns[tid] = TransactionLog.begin(tid)
         child = self._evolve(sessions=sessions, txns=txns)
+        self._derive_event_count(child, 1)
+        # The new log is appended last and writes nothing yet: the writer
+        # masks carry over, and the index is the child's causal matrix's
+        # once one is adopted (see txn_order).
+        child._tids = child._index = None
         self._derive_status_lists(child, txns[tid])
         return child, tid
 
@@ -242,8 +272,23 @@ class History:
             raise ValueError(f"session {session!r} has no transaction to extend")
         tid = order[-1]
         txns = dict(self.txns)
-        txns[tid] = txns[tid].appended(event)
+        old = txns[tid]
+        txns[tid] = old.appended(event)
         child = self._evolve(txns=txns)
+        self._derive_event_count(child, 1)
+        writers = self._writers
+        if writers is not None:
+            kind = event.type
+            if kind is EventType.WRITE and event.var not in old.writes():
+                # First write of the variable: one bit flips on.
+                child._writers = writers = dict(writers)
+                writers[event.var] = writers.get(event.var, 0) | (1 << self.txn_index_map()[tid])
+            elif kind is EventType.ABORT and old.writes():
+                # An aborted transaction exposes no writes (§2.2.1).
+                clear = ~(1 << self.txn_index_map()[tid])
+                child._writers = writers = dict(writers)
+                for var in old.writes():
+                    writers[var] &= clear
         self._derive_status_lists(child, txns[tid])
         return child
 
@@ -253,7 +298,9 @@ class History:
             raise ValueError(f"unknown writer transaction {writer!r}")
         wr = dict(self.wr)
         wr[read] = writer
-        return self._evolve(wr=wr)
+        child = self._evolve(wr=wr)
+        self._derive_event_count(child, 0)
+        return child
 
     def with_read_source(self, read: EventId, writer: TxnId) -> "History":
         """Re-point read event ``read`` to read from ``writer``.
@@ -281,34 +328,42 @@ class History:
 
         The caller is responsible for ``doomed`` being po-upward closed per
         transaction (we delete suffixes only); this is asserted because a
-        violation means a broken Swap computation.
+        violation means a broken Swap computation.  The surviving logs keep
+        their order in ``txns`` (so their relative dense indices), and a
+        log that loses no event is shared with its caches.
         """
         if not doomed:
             return self
-        sessions: Dict[str, Tuple[TxnId, ...]] = {}
         txns: Dict[TxnId, TransactionLog] = {}
+        for tid, log in self.txns.items():
+            events = log.events
+            if tid == INIT_TXN:
+                txns[tid] = log
+                continue
+            keep = 0
+            while keep < len(events) and events[keep].eid not in doomed:
+                keep += 1
+            if keep == len(events):
+                txns[tid] = log
+                continue
+            if any(e.eid not in doomed for e in events[keep + 1 :]):
+                raise AssertionError(f"non-suffix deletion in {tid!r}")
+            if keep:
+                txns[tid] = TransactionLog(tid, events[:keep])
+        sessions: Dict[str, Tuple[TxnId, ...]] = {}
         for session, order in self.sessions.items():
-            kept: List[TxnId] = []
-            dropped = False
-            for tid in order:
-                log = self.txns[tid]
-                keep = [e for e in log.events if e.eid not in doomed]
-                if len(keep) < len(log.events) and keep != list(log.events[: len(keep)]):
-                    raise AssertionError(f"non-suffix deletion in {tid!r}")
-                if keep:
-                    if dropped:
-                        # Dropped transactions must form a session-order
-                        # suffix, otherwise so would have holes.
-                        raise AssertionError(f"hole in session {session!r}")
-                    txns[tid] = TransactionLog(tid, tuple(keep))
-                    kept.append(tid)
-                else:
-                    dropped = True
+            kept = tuple(tid for tid in order if tid in txns)
+            if kept != order[: len(kept)]:
+                # Dropped transactions must form a session-order suffix,
+                # otherwise so would have holes.
+                raise AssertionError(f"hole in session {session!r}")
             if kept:
-                sessions[session] = tuple(kept)
-        txns[INIT_TXN] = self.txns[INIT_TXN]
-        kept_ids = set(txns)
-        wr = {read: writer for read, writer in self.wr.items() if read not in doomed and writer in kept_ids and read.txn in kept_ids}
+                sessions[session] = kept
+        wr = {
+            read: writer
+            for read, writer in self.wr.items()
+            if read not in doomed and writer in txns and read.txn in txns
+        }
         return History(sessions, txns, wr)
 
     # -- basic queries --------------------------------------------------------
@@ -339,6 +394,12 @@ class History:
             count = sum(len(log) for log in self.txns.values())
             self._cache["event_count"] = count
         return count
+
+    def _derive_event_count(self, child: "History", added: int) -> None:
+        """``child`` has ``added`` more events than this history."""
+        count = self._cache.get("event_count")
+        if count is not None:
+            child._cache["event_count"] = count + added
 
     def transaction_ids(self) -> Set[TxnId]:
         return set(self.txns)
@@ -393,9 +454,47 @@ class History:
         """``reads(h)``: all external read events."""
         return [e for log in self.txns.values() for e in log.reads()]
 
+    def txn_order(self) -> Tuple[TxnId, ...]:
+        """Transaction ids by dense index (the order of ``txns``).
+
+        One index serves the history and its causal matrix: it is read
+        off the cached :meth:`causal_matrix` when there is one, and a
+        matrix built later is built over it."""
+        tids = self._tids
+        if tids is None:
+            matrix = self._cache.get("causal_matrix")
+            tids = tuple(self.txns) if matrix is None else matrix.nodes  # type: ignore[union-attr]
+            self._tids = tids
+        return tids
+
+    def txn_index_map(self) -> Dict[TxnId, int]:
+        """Transaction id → dense index: its position in ``txns``, which is
+        also its node index in :meth:`causal_matrix` (the same map object,
+        shared: callers must not mutate it)."""
+        index = self._index
+        if index is None:
+            matrix = self._cache.get("causal_matrix")
+            if matrix is None:
+                index = {tid: i for i, tid in enumerate(self.txn_order())}
+            else:
+                index = matrix.index_map()  # type: ignore[union-attr]
+            self._index = index
+        return index
+
+    def writer_mask(self, var: str) -> int:
+        """Bitmask, by dense index, of the transactions ``t`` with ``t writes var``."""
+        writers = self._writers
+        if writers is None:
+            writers = self._writers = {}
+            for i, log in enumerate(self.txns.values()):
+                for written in log.writes():
+                    writers[written] = writers.get(written, 0) | (1 << i)
+        return writers.get(var, 0)
+
     def writers_of(self, var: str) -> List[TxnId]:
-        """Transactions ``t`` with ``t writes var``."""
-        return [tid for tid, log in self.txns.items() if log.writes_var(var)]
+        """Transactions ``t`` with ``t writes var``, in dense-index order."""
+        tids = self.txn_order()
+        return [tids[i] for i in iter_bits(self.writer_mask(var))]
 
     def visible_write_value(self, tid: TxnId, var: str) -> Hashable:
         """The value another transaction observes when reading ``var`` from ``tid``."""
@@ -481,8 +580,9 @@ class History:
         if matrix is None:
             edges: List[Tuple[TxnId, TxnId]] = list(self.so_pairs())
             edges.extend((writer, read.txn) for read, writer in self.wr.items() if writer != read.txn)
-            matrix = RelationMatrix(self.txns, edges).freeze()
+            matrix = RelationMatrix(self.txn_order(), edges, index=self._index).freeze()
             self._cache["causal_matrix"] = matrix
+            self._index = matrix.index_map()
         return matrix
 
     def cached_causal_matrix(self) -> Optional[RelationMatrix]:
@@ -520,9 +620,12 @@ class History:
         plus one ``add_edge`` — adopting it avoids a full rebuild.  The
         matrix must be over exactly this history's transactions.
         """
-        if matrix.nodes != tuple(self.txns):
+        if matrix.nodes != self.txn_order():
             raise ValueError("adopted matrix does not match this history's transactions")
         self._cache["causal_matrix"] = matrix.freeze()
+        # From here on the history indexes by the matrix's map.
+        self._tids = matrix.nodes
+        self._index = matrix.index_map()
 
     def causally_before(self, a: TxnId, b: TxnId, exclude_read: Optional[EventId] = None) -> bool:
         """``(a, b) ∈ (so ∪ wr)+``."""

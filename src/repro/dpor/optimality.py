@@ -14,15 +14,16 @@ of the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
+from ..core.bitrel import iter_bits
 from ..core.events import EventId, EventType, TxnId
 from ..core.history import History
 from ..core.ordered_history import OrderedHistory
 from ..isolation.base import IsolationLevel
 from ..lang.program import Program
 from ..semantics.scheduler import NextAction, extend_history
-from .swaps import doomed_events, swap
+from .swaps import doomed_events
 
 
 def is_swapped(program: Program, oh: OrderedHistory, read: EventId) -> bool:
@@ -79,49 +80,66 @@ def is_swapped(program: Program, oh: OrderedHistory, read: EventId) -> bool:
     return True
 
 
+def _pruned_history(
+    oh: OrderedHistory, pivot: EventId, target: TxnId, level: IsolationLevel
+) -> Tuple[History, Set[EventId]]:
+    """readLatest's pruned history ``h \\ D`` with ``D = {e | pivot ≤ e ∧
+    (tr(e), target) ∉ (so ∪ wr)*}`` (§5.3), with its consistency caches
+    warm, and the deletion set ``D``.
+
+    Event removal is the non-monotone step saturation cannot diff across,
+    so the pruned history starts cache-cold: its closure and its state for
+    ``level`` are built once here, and every extension of it (readLatest's
+    candidates, the swapped history) derives from them instead of
+    rebuilding.
+    """
+    doomed = doomed_events(oh, pivot, target, strict=False)
+    pruned = oh.history.remove_events(doomed)
+    pruned.causal_matrix()
+    level.satisfies(pruned)
+    return pruned, doomed
+
+
 def read_latest(
     oh: OrderedHistory,
     read: EventId,
     target: TxnId,
     level: IsolationLevel,
+    pruned: Optional[History] = None,
 ) -> bool:
     """``readLatest_I(h, <, r', t)`` (§5.3).
 
     Whether ``r'`` reads from the ``<``-latest transaction in its causal
     past (computed in the pruned history ``h' = h \\ {e | r' ≤ e ∧
     (tr(e), t) ∉ (so ∪ wr)*}``, i.e. with ``r'`` and its own wr dependency
-    removed) from which reading is consistent with ``level``.
+    removed) from which reading is consistent with ``level``.  ``pruned``
+    passes that history in when the caller already has it (see
+    :func:`_pruned_history`).
+
+    Candidates are tried latest first, so the first consistent one is the
+    answer and the earlier ones are never checked.
     """
     history = oh.history
     current_source = history.wr.get(read)
     if current_source is None:
         return True
-    pruned = history.remove_events(doomed_events(oh, read, target, strict=False))
-    pruned_matrix = pruned.causal_matrix()
-    # Event removal is the non-monotone step saturation cannot diff across,
-    # so pruned starts cache-cold: warm its consistency state once here and
-    # every candidate below derives from it instead of rebuilding.
-    level.satisfies(pruned)
+    if pruned is None:
+        pruned, _ = _pruned_history(oh, read, target, level)
     reader = read.txn
     var = history.event(read).var
-
-    best: Optional[TxnId] = None
-    best_pos = -1
-    for log in pruned.committed_transactions():
-        if not log.writes_var(var):
-            continue
-        if not pruned_matrix.reaches_reflexive(log.tid, reader):
-            continue
+    tids = pruned.txn_order()
+    # Committed writers of var in the reader's causal past (the reader
+    # itself is pending, so never a candidate).
+    mask = pruned.writer_mask(var) & pruned.causal_matrix().ancestors_mask(reader)
+    committed = [tids[i] for i in iter_bits(mask) if pruned.txns[tids[i]].is_committed]
+    committed.sort(key=oh.txn_position, reverse=True)
+    for tid in committed:
         # Same derivation as ValidWrites: extend_history diffs the
         # candidate's closure (and saturation states) from pruned's
         # caches, so the consistency check never rebuilds the relation.
-        candidate = _reappend_read(pruned, read, var, log.tid)
-        if not level.satisfies(candidate):
-            continue
-        pos = oh.txn_position(log.tid)
-        if pos > best_pos:
-            best, best_pos = log.tid, pos
-    return best == current_source
+        if level.satisfies(_reappend_read(pruned, read, var, tid)):
+            return tid == current_source
+    return False
 
 
 def _reappend_read(pruned: History, read: EventId, var: str, writer: TxnId) -> History:
@@ -131,6 +149,31 @@ def _reappend_read(pruned: History, read: EventId, var: str, writer: TxnId) -> H
     if len(log.events) != read.pos:
         raise AssertionError(f"pruned log of {reader!r} does not end right before {read!r}")
     return extend_history(pruned, NextAction(EventType.READ, reader, var), writer=writer)
+
+
+def pruned_swap(
+    oh: OrderedHistory,
+    read: EventId,
+    target: TxnId,
+    level: IsolationLevel,
+) -> Tuple[OrderedHistory, History, Set[EventId]]:
+    """``Swap(h, <, r, t)`` built from readLatest's pruned history for ``r``.
+
+    ``Swap`` keeps exactly the events that readLatest's pruning for ``r``
+    keeps, plus ``r`` itself re-pointed to ``t``.  So the swapped history is
+    that pruned history with the read re-appended (:func:`_reappend_read`):
+    its closure and saturation states are derived from the pruned
+    history's instead of rebuilt.  The result equals
+    :func:`~repro.dpor.swaps.swap`'s, ``<`` and the order of ``txns``
+    included.  Returns the swapped ordered history, the warm pruned
+    history and the pruning's deletion set (``r`` included).
+    """
+    pruned, doomed = _pruned_history(oh, read, target, level)
+    swapped = _reappend_read(pruned, read, oh.history.event(read).var, target)
+    reader = read.txn
+    order = [eid for eid in oh.order if eid.txn != reader and eid not in doomed]
+    order.extend(EventId(reader, pos) for pos in range(read.pos + 1))
+    return OrderedHistory(swapped, order), pruned, doomed
 
 
 def optimality(
@@ -144,21 +187,21 @@ def optimality(
 
     Returns ``(enabled, swapped_history)`` — the swapped history is computed
     as part of the check (its consistency is the first conjunct), so the
-    caller reuses it instead of swapping twice.
+    caller reuses it instead of swapping twice.  It comes from
+    :func:`pruned_swap`, whose pruned history then answers ``readLatest``
+    for ``read`` as well.
     """
-    history = oh.history
-    swapped_oh = swap(oh, read, target)
+    swapped_oh, pruned, doomed = pruned_swap(oh, read, target, level)
     if not level.satisfies(swapped_oh.history):
         return False, None
     # Reads deleted by the swap, plus the re-ordered read itself.
-    doomed = doomed_events(oh, read, target, strict=True)
     affected: List[EventId] = [read]
-    for event in history.reads():
-        if event.eid in doomed:
+    for event in oh.history.reads():
+        if event.eid in doomed and event.eid != read:
             affected.append(event.eid)
     for eid in affected:
         if is_swapped(program, oh, eid):
             return False, None
-        if not read_latest(oh, eid, target, level):
+        if not read_latest(oh, eid, target, level, pruned if eid == read else None):
             return False, None
     return True, swapped_oh

@@ -64,12 +64,11 @@ def doomed_events(oh: OrderedHistory, pivot: EventId, target: TxnId, strict: boo
     With ``strict=False`` the pivot itself is included (the variant used by
     ``readLatest``, §5.3).
     """
-    matrix = oh.causal_matrix()
-    doomed: Set[EventId] = set()
-    for eid in oh.events_from(pivot, strict=strict):
-        if not matrix.reaches_reflexive(eid.txn, target):
-            doomed.add(eid)
-    return doomed
+    history = oh.history
+    index = history.txn_index_map()
+    # (tr(e), target) ∈ (so ∪ wr)* as one mask over dense indices.
+    kept = oh.causal_matrix().ancestors_mask(target) | (1 << index[target])
+    return {eid for eid in oh.events_from(pivot, strict=strict) if not (kept >> index[eid.txn]) & 1}
 
 
 def swap(oh: OrderedHistory, read: EventId, target: TxnId) -> OrderedHistory:

@@ -12,15 +12,20 @@ reference checker in :mod:`repro.isolation.reference`.
 
 Premises that do not mention ``co`` (Read Committed, Read Atomic, Causal
 Consistency) admit the polynomial saturation check of
-:mod:`repro.isolation.saturation`.
+:mod:`repro.isolation.saturation`.  Those three also come in a bitmask
+form: for one read, the set of every ``t2`` that satisfies the premise, by
+the history's dense transaction index.  Saturation tests a whole group of
+instances sharing a read against that one mask; the per-instance premise
+stays the reference (``iter_forced_edges``) and serves the online
+checker's facts view and the session-guarantee axioms, which have no mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..core.events import Event, TxnId
+from ..core.events import INIT_TXN, Event, TxnId
 from ..core.history import History
 
 #: Position of each transaction in a candidate total commit order.
@@ -29,6 +34,10 @@ CoPositions = Mapping[TxnId, int]
 #: φ(history, co_positions, t2, read_event) — the read event identifies both
 #: t3 = tr(read) and the variable x = var(read).
 Premise = Callable[[History, CoPositions, TxnId, Event], bool]
+
+#: φ's co-free bitmask form: ``mask(history, read)`` has bit ``i`` set iff
+#: the premise holds for the transaction of dense index ``i`` as ``t2``.
+PremiseMask = Callable[[History, Event], int]
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,12 @@ class Axiom:
     #: of ``t2`` in the reader's prior wr-source set — the online hot path
     #: then decides it with one hash lookup instead of a log scan.
     prior_source_premise: bool = False
+    #: Bitmask form of a co-free premise (see :data:`PremiseMask`).  A mask
+    #: may depend only on ``tr(read)``'s log, the wr sources of its reads
+    #: and its ``(so ∪ wr)+`` ancestors: then a new wr edge into a
+    #: transaction changes only the masks of reads in that transaction and
+    #: its causal descendants, and saturation re-tests nothing else.
+    premise_mask: Optional[PremiseMask] = None
 
 
 def axiom_instances(history: History) -> Iterator[Tuple[TxnId, TxnId, Event]]:
@@ -95,6 +110,42 @@ def _so_wr_premise(history: History, co: CoPositions, t2: TxnId, read: Event) ->
 def _causal_premise(history: History, co: CoPositions, t2: TxnId, read: Event) -> bool:
     """Causal Consistency: ⟨t2, t3⟩ ∈ (so ∪ wr)+."""
     return history.causally_before(t2, read.eid.txn)
+
+
+def _wr_po_mask(history: History, read: Event) -> int:
+    """Read Committed as a mask: wr sources of the po-earlier reads of tr(read)."""
+    index = history.txn_index_map()
+    wr = history.wr
+    mask = 0
+    for earlier in history.txns[read.eid.txn].events[: read.eid.pos]:
+        if earlier.is_external_read:
+            source = wr.get(earlier.eid)
+            if source is not None:
+                mask |= 1 << index[source]
+    return mask
+
+
+def _so_wr_mask(history: History, read: Event) -> int:
+    """Read Atomic as a mask: the one-step ``so ∪ wr`` predecessors of tr(read)."""
+    t3 = read.eid.txn
+    index = history.txn_index_map()
+    wr = history.wr
+    mask = 0
+    if t3 != INIT_TXN and INIT_TXN in index:
+        mask = 1 << index[INIT_TXN]
+    for earlier in history.sessions.get(t3.session, ())[: t3.index]:
+        mask |= 1 << index[earlier]
+    for event in history.txns[t3].events:
+        if event.is_external_read:
+            source = wr.get(event.eid)
+            if source is not None:
+                mask |= 1 << index[source]
+    return mask
+
+
+def _causal_mask(history: History, read: Event) -> int:
+    """Causal Consistency as a mask: the ``(so ∪ wr)+`` ancestors of tr(read)."""
+    return history.causal_matrix().ancestors_mask(read.eid.txn)
 
 
 def _ser_premise(history: History, co: CoPositions, t2: TxnId, read: Event) -> bool:
@@ -209,9 +260,10 @@ READ_COMMITTED_AXIOM = Axiom(
     co_free=True,
     static_premise=True,
     prior_source_premise=True,
+    premise_mask=_wr_po_mask,
 )
-READ_ATOMIC_AXIOM = Axiom("Read Atomic", _so_wr_premise, co_free=True)
-CAUSAL_AXIOM = Axiom("Causal", _causal_premise, co_free=True)
+READ_ATOMIC_AXIOM = Axiom("Read Atomic", _so_wr_premise, co_free=True, premise_mask=_so_wr_mask)
+CAUSAL_AXIOM = Axiom("Causal", _causal_premise, co_free=True, premise_mask=_causal_mask)
 SERIALIZABILITY_AXIOM = Axiom("Serializability", _ser_premise, co_free=False)
 PREFIX_AXIOM = Axiom("Prefix", _prefix_premise, co_free=False)
 CONFLICT_AXIOM = Axiom("Conflict", _conflict_premise, co_free=False)

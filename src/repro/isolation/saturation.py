@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Iterator, Set, Tuple
 
-from ..core.bitrel import RelationMatrix
+from ..core.bitrel import RelationMatrix, _popcount, iter_bits
 from ..core.events import INIT_TXN, Event, EventType, TxnId
 from ..core.history import History
-from .axioms import Axiom, axiom_instances
+from .axioms import Axiom, PremiseMask, axiom_instances
 
 
 def _check_co_free(axioms: Tuple[Axiom, ...]) -> None:
@@ -97,6 +97,18 @@ class IncrementalSaturation:
     later — an instance therefore needs re-checking until it fires, never
     after.  The verdict is O(1): the maintained closure's acyclicity flag.
 
+    Pending instances are kept **grouped by read**: one entry ``(t1, read,
+    t2s)`` stands for the instances ``(t1, t2, read)`` of every ``t2`` whose
+    bit is set in ``t2s`` (bits index :attr:`matrix`'s nodes), in the order
+    they were queued.  When the level's one axiom has a bitmask premise
+    (RC, RA, CC) and the state's matrix indexes its nodes as the history
+    it is advanced against does (:meth:`_masks_apply`: every state built
+    by :meth:`from_history` or derived from one), a whole group is decided
+    by one AND with the read's premise mask, counting one
+    :attr:`premise_evals` tick per instance.  Otherwise (session axioms,
+    the online checker's facts view) each instance is evaluated on its
+    own, one tick per premise evaluated.
+
     The one non-monotone step is an **abort**: an aborted transaction's
     writes vanish (§2.2.1), retroactively deleting every instance it was the
     writer of — including forced edges already baked into the closure.
@@ -111,6 +123,7 @@ class IncrementalSaturation:
         "_pending",
         "_drop_unfired",
         "_prior_source",
+        "_premise_mask",
         "fired_edges",
         "fired_writers",
     )
@@ -126,12 +139,18 @@ class IncrementalSaturation:
         self.axioms = axioms
         #: The maintained ``so ∪ wr ∪ forced`` relation, closure kept by add_edge.
         self.matrix = RelationMatrix((INIT_TXN,)) if matrix is None else matrix
-        self._pending: List[Tuple[TxnId, TxnId, Event]] = []
+        #: Unfired instances grouped by read: ``(t1, read, t2 bitmask)``.
+        self._pending: List[Tuple[TxnId, Event, int]] = []
         #: With only static premises (RC), an unfired instance can never
         #: fire later — evaluate once and drop instead of re-scanning.
         self._drop_unfired = all(axiom.static_premise for axiom in axioms)
         self._prior_source = bool(axioms) and all(
             axiom.prior_source_premise for axiom in axioms
+        )
+        #: The single axiom's premise mask, if it has one (no registered
+        #: level combines mask-premise axioms).
+        self._premise_mask: Optional[PremiseMask] = (
+            axioms[0].premise_mask if len(axioms) == 1 else None
         )
         #: Forced edges ``(t2, t1)`` actually fired so far.  Premises
         #: are monotone and unaffected by aborts of *other* transactions,
@@ -151,10 +170,18 @@ class IncrementalSaturation:
         """Batch-build the state for an existing history (abort rebuilds).
 
         Starts from a copy of the history's cached ``so ∪ wr`` closure and
-        replays the full quantifier expansion once.
+        replays the full quantifier expansion once: one group per read,
+        its writers read off the history's per-variable writer mask.
         """
         state = cls(axioms, matrix=history.causal_matrix().copy())
-        state._pending = list(axiom_instances(history))
+        index = history.txn_index_map()
+        writer_mask = history.writer_mask
+        pending = state._pending
+        for read, t1 in history.wr.items():
+            event = history.event(read)
+            t2s = writer_mask(event.var) & ~(1 << index[t1])
+            if t2s:
+                pending.append((t1, event, t2s))
         state.advance(history)
         return state
 
@@ -169,7 +196,14 @@ class IncrementalSaturation:
 
     def add_instance(self, t1: TxnId, t2: TxnId, read: Event) -> None:
         """Queue a new axiom instance ``(t1, t2, read)`` for evaluation."""
-        self._pending.append((t1, t2, read))
+        bit = 1 << self.matrix.index_of(t2)
+        pending = self._pending
+        if pending:
+            last_t1, last_read, t2s = pending[-1]
+            if last_read is read and last_t1 == t1:
+                pending[-1] = (t1, read, t2s | bit)
+                return
+        pending.append((t1, read, bit))
 
     def evaluate_instance(self, t1: TxnId, t2: TxnId, read: Event, facts) -> bool:
         """Evaluate one instance right now instead of queuing it.
@@ -216,10 +250,13 @@ class IncrementalSaturation:
             self.matrix.retract_edges(dead_edges)
             self.fired_edges.difference_update(dead_edges)
             self.fired_writers.discard(tid)
-        if self._pending:
-            self._pending = [inst for inst in self._pending if inst[1] != tid]
+        if self._pending and tid in self.matrix:
+            keep = ~(1 << self.matrix.index_of(tid))
+            self._pending = [
+                (t1, read, t2s & keep) for t1, read, t2s in self._pending if t2s & keep
+            ]
 
-    def advance(self, history: History) -> None:
+    def advance(self, history: History, affected: Optional[int] = None) -> None:
         """Evaluate pending premises against the current prefix history.
 
         Instances whose premise holds contribute their forced edge ``⟨t2,
@@ -227,34 +264,110 @@ class IncrementalSaturation:
         pending.  One pass suffices per fed event: co-free premises cannot
         be enabled by the forced edges this pass adds.
 
+        ``affected`` (bitmask premises only) names, by matrix index, the
+        transactions whose reads may have changed premise since the last
+        pass; groups of other reads stay pending untested.  Without it
+        every pending group is re-tested.
+
         Once the closure is cyclic the pass is skipped entirely — more
         edges cannot un-close a cycle, and the only event that can restore
         consistency (an abort retracting a writer) goes through a
         :meth:`from_history` rebuild anyway.  This mirrors the batch
         checker's first-contradiction early exit.
         """
-        if not self.matrix.is_acyclic():
+        if not self._pending or not self.matrix.is_acyclic():
             return
-        still: List[Tuple[TxnId, TxnId, Event]] = []
+        if self._masks_apply(history):
+            self._advance_masked(history, affected)
+        else:
+            self._advance_each(history)
+
+    def _masks_apply(self, history) -> bool:
+        """Whether the bitmask premise can decide pending groups against
+        ``history``: the level has one, and the bits of this state's matrix
+        mean the transactions they mean in ``history`` (not so for the
+        online checker's facts view, which is no :class:`History`)."""
+        return (
+            self._premise_mask is not None
+            and isinstance(history, History)
+            and self.matrix.nodes == history.txn_order()
+        )
+
+    def _advance_masked(self, history: History, affected: Optional[int]) -> None:
+        """:meth:`advance` by read groups, one premise mask per group."""
+        premise_mask = self._premise_mask
+        matrix = self.matrix
+        nodes = matrix.nodes
+        index = history.txn_index_map()
+        drop = self._drop_unfired
         pending = self._pending
-        for idx, (t1, t2, read) in enumerate(pending):
-            fired = False
-            for axiom in self.axioms:
-                IncrementalSaturation.premise_evals += 1
-                if axiom.premise(history, {}, t2, read):
-                    fired = True
-                    break
-            if fired:
-                self.force_edge(t2, t1)
-                if not self.matrix.is_acyclic():
+        still: List[Tuple[TxnId, Event, int]] = []
+        ticks = 0
+        for pos, group in enumerate(pending):
+            t1, read, t2s = group
+            if affected is not None and not (affected >> index[read.eid.txn]) & 1:
+                still.append(group)
+                continue
+            fired = t2s & premise_mask(history, read)  # type: ignore[misc]
+            remaining = fired
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                self.force_edge(nodes[low.bit_length() - 1], t1)
+                if not matrix.is_acyclic():
                     # First contradiction: the verdict is settled for this
-                    # history and every append-extension; keep the
-                    # unevaluated tail pending (an abort rebuild discards
-                    # this state anyway) and stop scanning.
-                    still.extend(pending[idx + 1 :])
-                    break
-            elif not self._drop_unfired:
-                still.append((t1, t2, read))
+                    # history and every append-extension.  The instances
+                    # after it stay pending unevaluated (an abort rebuild
+                    # discards this state anyway).
+                    upto = (low << 1) - 1
+                    ticks += _popcount(t2s & upto)
+                    left = t2s & ~(upto if drop else fired & upto)
+                    if left:
+                        still.append((t1, read, left))
+                    still.extend(pending[pos + 1 :])
+                    IncrementalSaturation.premise_evals += ticks
+                    self._pending = still
+                    return
+            ticks += _popcount(t2s)
+            if not drop and t2s != fired:
+                still.append((t1, read, t2s & ~fired) if fired else group)
+        IncrementalSaturation.premise_evals += ticks
+        self._pending = still
+
+    def _advance_each(self, history) -> None:
+        """:meth:`advance` one instance at a time, with the per-instance premises."""
+        axioms = self.axioms
+        matrix = self.matrix
+        nodes = matrix.nodes
+        drop = self._drop_unfired
+        pending = self._pending
+        still: List[Tuple[TxnId, Event, int]] = []
+        for pos, (t1, read, t2s) in enumerate(pending):
+            left = 0
+            remaining = t2s
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                t2 = nodes[low.bit_length() - 1]
+                fired = False
+                for axiom in axioms:
+                    IncrementalSaturation.premise_evals += 1
+                    if axiom.premise(history, {}, t2, read):
+                        fired = True
+                        break
+                if fired:
+                    self.force_edge(t2, t1)
+                    if not matrix.is_acyclic():
+                        left |= remaining
+                        if left:
+                            still.append((t1, read, left))
+                        still.extend(pending[pos + 1 :])
+                        self._pending = still
+                        return
+                elif not drop:
+                    left |= low
+            if left:
+                still.append((t1, read, left))
         self._pending = still
 
     def evict(self, drop: Set[TxnId]) -> None:
@@ -264,8 +377,9 @@ class IncrementalSaturation:
         :meth:`~repro.core.bitrel.RelationMatrix.remove_nodes` (closure
         shortcuts through dropped nodes are preserved), and every pending
         instance mentioning a dropped participant — as source ``t1``,
-        writer ``t2`` or reader — is discarded.  Exactness is the caller's
-        contract: the monitor's per-level eviction predicates
+        writer ``t2`` or reader — is discarded; the surviving groups'
+        writer masks are re-indexed to the compacted matrix.  Exactness is
+        the caller's contract: the monitor's per-level eviction predicates
         (:mod:`repro.isolation.liveness`) only nominate transactions whose
         dropped instances are provably frozen-false or whose forced edges
         could never lie on a future cycle, and only while the state is
@@ -274,7 +388,8 @@ class IncrementalSaturation:
         """
         if not drop:
             return
-        self.matrix = self.matrix.remove_nodes(drop)
+        old = self.matrix
+        self.matrix = old.remove_nodes(drop)
         # A fired edge with an evicted endpoint leaves the record: its
         # closure contribution is already baked in (and survives
         # remove_nodes as shortcut edges), and rebuilds are restricted to
@@ -284,10 +399,18 @@ class IncrementalSaturation:
             if edge[0] not in drop and edge[1] not in drop
         }
         self.fired_writers = {edge[0] for edge in self.fired_edges}
+        if not self._pending:
+            return
+        keep_mask = 0
+        for i, node in enumerate(old.nodes):
+            if node not in drop:
+                keep_mask |= 1 << i
+        plan = RelationMatrix._compress_plan(keep_mask, len(old.nodes))
+        compress = RelationMatrix._compress_row
         self._pending = [
-            (t1, t2, read)
-            for t1, t2, read in self._pending
-            if t1 not in drop and t2 not in drop and read.eid.txn not in drop
+            (t1, read, compress(t2s, keep_mask, plan))
+            for t1, read, t2s in self._pending
+            if t2s & keep_mask and t1 not in drop and read.eid.txn not in drop
         ]
 
     def prune_pending(self, dead) -> int:
@@ -302,8 +425,17 @@ class IncrementalSaturation:
         """
         if not self._pending:
             return 0
-        kept = [inst for inst in self._pending if not dead(*inst)]
-        dropped = len(self._pending) - len(kept)
+        nodes = self.matrix.nodes
+        kept: List[Tuple[TxnId, Event, int]] = []
+        dropped = 0
+        for t1, read, t2s in self._pending:
+            left = t2s
+            for i in iter_bits(t2s):
+                if dead(t1, nodes[i], read):
+                    left ^= 1 << i
+                    dropped += 1
+            if left:
+                kept.append((t1, read, left))
         self._pending = kept
         return dropped
 
@@ -311,8 +443,8 @@ class IncrementalSaturation:
         """An independent state to extend for a child history.
 
         O(n): the matrix rows are copied (word-packed memcpy for ≤ 64
-        transactions) and the pending-instance list is copied shallowly
-        (instances are immutable tuples).  The original is untouched, so a
+        transactions) and the pending-group list is copied shallowly
+        (groups are immutable tuples).  The original is untouched, so a
         parent node's state can be forked once per child branch.
         """
         dup = object.__new__(IncrementalSaturation)
@@ -321,6 +453,7 @@ class IncrementalSaturation:
         dup._pending = list(self._pending)
         dup._drop_unfired = self._drop_unfired
         dup._prior_source = self._prior_source
+        dup._premise_mask = self._premise_mask
         dup.fired_edges = set(self.fired_edges)
         dup.fired_writers = set(self.fired_writers)
         return dup
@@ -340,7 +473,8 @@ class IncrementalSaturation:
     @property
     def pending_instances(self) -> int:
         """Number of instances whose premise has not fired yet."""
-        return len(self._pending)
+        pending = self._pending
+        return sum(_popcount(t2s) for _, _, t2s in pending) if pending else 0
 
     @property
     def consistent(self) -> bool:
@@ -412,16 +546,21 @@ def _derive_state(
         forked.add_base_edge(prev, tid)
         return forked
     if kind is EventType.READ and writer is not None:
-        # New wr edge + new instances quantified over the read; the edge
-        # can also enable pending so∪wr (RA) / causal (CC) premises, so a
-        # full pending re-scan runs against the child.
+        # New wr edge + new instances quantified over the read (one group:
+        # every visible writer of the variable but the source).  The edge
+        # can also enable pending so∪wr (RA) / causal (CC) premises — but
+        # with bitmask premises only those of reads in ``tid`` or its
+        # causal descendants, so only their groups are re-tested.
+        assert event is not None
         forked = state.fork()
         forked.add_base_edge(writer, tid)
-        assert event is not None
-        for t2 in child.writers_of(event.var):
-            if t2 != writer:
-                forked.add_instance(writer, t2, event)
-        forked.advance(child)
+        index = child.txn_index_map()
+        t2s = child.writer_mask(event.var) & ~(1 << index[writer])
+        if t2s:
+            forked._pending.append((writer, event, t2s))
+        causal = child.cached_causal_matrix()
+        affected = None if causal is None else (1 << index[tid]) | causal.descendants_mask(tid)
+        forked.advance(child, affected)
         return forked
     if kind is EventType.WRITE:
         assert event is not None
@@ -433,17 +572,25 @@ def _derive_state(
         # the new writer with every existing read of ``var`` are new.  A
         # write adds no so/wr edge, so pending instances cannot newly
         # fire — only the fresh instances need evaluating.
+        premise_mask = state._premise_mask if state._masks_apply(child) else None
+        bit = 1 << state.matrix.index_of(tid)
         forked = None
         for read_eid, t1 in child.wr.items():
-            if t1 == tid or child.event(read_eid).var != event.var:
+            if t1 == tid:
                 continue
             read_ev = child.event(read_eid)
-            fired = False
-            for axiom in state.axioms:
+            if read_ev.var != event.var:
+                continue
+            if premise_mask is not None:
                 IncrementalSaturation.premise_evals += 1
-                if axiom.premise(child, {}, tid, read_ev):
-                    fired = True
-                    break
+                fired = bool(premise_mask(child, read_ev) & bit)
+            else:
+                fired = False
+                for axiom in state.axioms:
+                    IncrementalSaturation.premise_evals += 1
+                    if axiom.premise(child, {}, tid, read_ev):
+                        fired = True
+                        break
             if fired:
                 if forked is None:
                     forked = state.fork()
@@ -451,7 +598,7 @@ def _derive_state(
             elif not state._drop_unfired:
                 if forked is None:
                     forked = state.fork()
-                forked.add_instance(t1, tid, read_ev)
+                forked._pending.append((t1, read_ev, bit))
         return state if forked is None else forked
     # COMMIT, local READ, write-free ABORT: writes() visibility, wr and so
     # are all unchanged — the state transfers verbatim.

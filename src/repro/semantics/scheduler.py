@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..core.bitrel import RelationMatrix
+from ..core.bitrel import RelationMatrix, iter_bits
 from ..core.events import INIT_TXN, Event, EventId, EventType, TxnId
 from ..core.history import History
 from ..core.ordered_history import OrderedHistory
@@ -204,12 +204,14 @@ def valid_writes(
     base = history.causal_matrix()  # ensure the base closure exists to derive from
     base_states = history.saturation_states()
     results: List[Tuple[TxnId, History]] = []
-    for log in history.committed_transactions():
-        if not log.writes_var(action.var):
+    tids = history.txn_order()
+    for i in iter_bits(history.writer_mask(action.var)):
+        tid = tids[i]
+        if not history.txns[tid].is_committed:
             continue
-        candidate = extend_history(history, action, log.tid)
+        candidate = extend_history(history, action, tid)
         if level.satisfies(candidate):
-            results.append((log.tid, candidate))
+            results.append((tid, candidate))
         else:
             _recycle_candidate_caches(candidate, base, base_states)
     return results

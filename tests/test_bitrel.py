@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core import bitrel
 from repro.core.bitrel import RelationMatrix
 from repro.isolation import get_level
 from repro.isolation.axioms import AXIOMS_BY_LEVEL
@@ -143,6 +144,44 @@ class TestCrossChecks:
             RelationMatrix([1, 2], [(1, 3)])
         with pytest.raises(ValueError):
             RelationMatrix([1, 1])
+
+
+class TestNumpyClosure:
+    """``_close_wide_numpy`` (universes of 65+ nodes, when numpy imports)
+    against the pure-Python sweep, which is what runs without numpy."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_pure_python_sweep(self, seed, monkeypatch):
+        pytest.importorskip("numpy")
+        assert bitrel._np is not None
+        rng = random.Random(7100 + seed)
+        n = rng.randint(65, 200)
+        labels = list(range(n))
+        rng.shuffle(labels)  # node order unrelated to edge direction
+        edges = set()
+        for _ in range(rng.randint(n // 2, 3 * n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((labels[u], labels[v]))
+        if seed % 2:
+            # Cyclic half: a few back edges (the first one closing a
+            # two-cycle for sure), sometimes a self-loop.
+            for k in range(rng.randint(1, 4)):
+                u, v = sorted(rng.sample(range(n), 2))
+                if k == 0:
+                    edges.add((labels[u], labels[v]))
+                edges.add((labels[v], labels[u]))
+            if seed % 4 == 1:
+                node = rng.randrange(n)
+                edges.add((node, node))
+        edges = sorted(edges)
+        wide = RelationMatrix(range(n), edges)
+        monkeypatch.setattr(bitrel, "_np", None)
+        pure = RelationMatrix(range(n), edges)
+        _succ, wide_desc, wide_anc = wide.closure_rows()
+        _succ, pure_desc, pure_anc = pure.closure_rows()
+        assert wide_desc == pure_desc
+        assert wide_anc == pure_anc
+        assert wide.is_acyclic() == pure.is_acyclic() == (seed % 2 == 0)
 
 
 class TestSingleConstructionPerCheck:

@@ -30,6 +30,7 @@ sys.modules.setdefault("check_saturation_shared", check_saturation_shared)
 _spec.loader.exec_module(check_saturation_shared)
 
 sweep_program = check_saturation_shared.sweep_program
+sweep_swaps = check_saturation_shared.sweep_swaps
 abort_stream_program = check_saturation_shared.abort_stream_program
 
 
@@ -45,6 +46,14 @@ class TestSharedSaturationProperty:
         program = random_program(random.Random(seed), f"rand{seed}")
         stats = sweep_program(program, max_nodes=5000)
         assert stats.mismatches == []
+
+    def test_writer_masks_are_derived_and_match_rebuilds(self):
+        """Every node below the root derives its writer masks from its
+        parent's, and they equal the masks rebuilt from the logs."""
+        for make in PAPER_PROGRAMS:
+            stats = sweep_program(make(), max_nodes=5000)
+            assert stats.mismatches == []
+            assert stats.derived_masks >= stats.nodes
 
     def test_abort_stream_forces_rebuild_path(self):
         """Write-then-abort transactions must hit the from_history escape
@@ -63,6 +72,17 @@ class TestSharedSaturationProperty:
         for make in PAPER_PROGRAMS:
             totals += sweep_program(make(), max_nodes=5000).inconsistent
         assert totals > 0
+
+
+@pytest.mark.parametrize("app", ["shoppingCart", "wikipedia"])
+def test_pruned_swaps_equal_swap(app):
+    """Optimality's swapped history, built from readLatest's pruned
+    history, equals Swap()'s on every swap candidate of the tree."""
+    from repro.apps.workloads import client_program
+
+    stats = sweep_swaps(client_program(app, 3, 3, 0))
+    assert stats.mismatches == []
+    assert stats.checks > 10 and not stats.truncated
 
 
 def test_script_main_is_green(capsys):
