@@ -25,10 +25,31 @@ What is incremental
   reads), premises are re-evaluated only while unfired (they are monotone
   in the grow-only prefix), and the verdict is the maintained closure's
   O(1) acyclicity flag;
-* the search levels — SI, SER, PSI, PC, BS-3 — re-run their memoized
-  searches per event (their axioms mention the commit order, so no
-  saturation state carries over) but on the maintained matrix (passed via
-  ``History.adopt_causal_matrix``) rather than a rebuilt one.
+* the search levels — SI, SER, PSI, PC, BS-3 — have axioms that mention
+  the commit order, so no saturation state carries over; each event
+  decides them by the first of three rules that applies:
+
+  1. *keep the previous verdict when the search's input is unchanged* —
+     a ``begin`` (the new transaction is empty and can always go last in
+     the order), a ``commit`` (the searches ignore commit status), a local
+     read, a repeated write of a variable and the abort of a transaction
+     that wrote nothing leave the reads, their ``wr`` sources and the
+     written variables as they were;
+  2. *keep* ``False`` *on every event except the abort of a writer* —
+     every level registered with ``prefix_closed`` (all five; Thm. 3.2)
+     stays violated on any extension of a violating prefix, and only an
+     abort that hides a transaction's writes is not an extension;
+  3. *otherwise search*, on the maintained matrix (passed via
+     ``History.adopt_causal_matrix``) rather than a rebuilt one.  SI, PC
+     and SER try the level's last witness first (``hint`` of
+     :func:`~repro.isolation.snapshot.interval_witness` and
+     :func:`~repro.isolation.serializability.ser_witness`); transactions
+     the witness does not name, the new ones, follow in the search's
+     usual order, that is last.  PSI and BS-3 search from scratch.
+
+  ``verdicts_carried`` counts the verdicts rules 1–2 decided, and
+  :attr:`~repro.isolation.summaries.SearchCounter.search_states` the
+  states the searches visit.
 
 Which camp a level falls in is read off its
 :class:`~repro.isolation.registry.LevelSpec`, so spec-registered
@@ -49,7 +70,7 @@ bits, re-close); write-free aborts don't touch the matrix at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.bitrel import RelationMatrix
 from ..core.events import INIT_TXN, Event, TxnId
@@ -57,12 +78,24 @@ from ..core.history import History
 from ..isolation.base import IsolationLevel, get_level
 from ..isolation.registry import LevelSpec, level_spec
 from ..isolation.saturation import IncrementalSaturation
+from ..isolation.serializability import satisfies_ser, ser_witness
+from ..isolation.snapshot import interval_witness, satisfies_pc, satisfies_si
 from ..trace.format import Trace, TraceEvent, TraceHeader, TraceReplayer
 
 #: The levels an OnlineChecker decides by default, weakest first (the
 #: paper's chain; any registered level name is accepted — ``repro levels``
 #: lists them all).
 DEFAULT_LEVELS: Tuple[str, ...] = ("RC", "RA", "CC", "SI", "SER")
+
+
+#: Batch search → the same search taking a hint and returning its witness
+#: (None when the level is violated).  The searches are looked up by name
+#: per call, so a rebound module attribute (a profiler's wrapper) is seen.
+_WITNESS_SEARCHES: Dict[Callable[[History], bool], Callable[[History, Sequence], Optional[tuple]]] = {
+    satisfies_si: lambda history, hint: interval_witness(history, True, hint),
+    satisfies_pc: lambda history, hint: interval_witness(history, False, hint),
+    satisfies_ser: lambda history, hint: ser_witness(history, hint),
+}
 
 
 def _saturation_eligible(spec: LevelSpec) -> bool:
@@ -234,6 +267,10 @@ class OnlineChecker:
         self._causal = RelationMatrix((INIT_TXN,))
         self._saturation: Dict[str, IncrementalSaturation] = {}
         search: List[str] = []
+        #: Search level → its spec's ``prefix_closed`` (rule 2 needs it).
+        #: Levels registered without a spec are always searched.
+        self._prefix_closed: Dict[str, bool] = {}
+        self._witness_searches: Dict[str, Callable[[History, Sequence], Optional[tuple]]] = {}
         for name in self.levels:
             try:
                 spec: Optional[LevelSpec] = level_spec(name)
@@ -244,6 +281,10 @@ class OnlineChecker:
                 self._saturation[name] = IncrementalSaturation(spec.axioms)
             else:
                 search.append(name)
+                if spec is not None:
+                    self._prefix_closed[name] = spec.prefix_closed
+                    if spec.check in _WITNESS_SEARCHES:
+                        self._witness_searches[name] = _WITNESS_SEARCHES[spec.check]
         self._search_levels: Tuple[str, ...] = tuple(search)
         #: var → (read event, source tid) for every external read so far.
         self._reads_of_var: Dict[str, List[Tuple[Event, TxnId]]] = {}
@@ -254,6 +295,12 @@ class OnlineChecker:
         self._steps: List[OnlineStep] = []
         self._record_steps = record_steps
         self._verdicts: Dict[str, bool] = {}
+        #: Per search level: the verdict of the last search or carry, and
+        #: the last witness found.  Both go on eviction.
+        self._search_verdicts: Dict[str, bool] = {}
+        self._witnesses: Dict[str, Sequence] = {}
+        #: Search-level verdicts decided without searching (rules 1–2).
+        self.verdicts_carried = 0
         self._history: Optional[History] = None
         self._evicted = 0
         #: reader → wr sources of its external reads so far.  Equals the
@@ -280,6 +327,9 @@ class OnlineChecker:
         """Append one event, update the incremental state, re-decide levels."""
         added = self._replayer.apply(event)
         tid = event.tid
+        # Whether the event changes what the searches read: a new external
+        # read, a first write of a variable, or an abort hiding writes.
+        grows = retracts = False
         if event.op == "begin":
             self._causal.add_node(tid)
             order = self._replayer.session_order(tid.session)
@@ -289,6 +339,7 @@ class OnlineChecker:
                 state.add_transaction(tid)
                 state.add_base_edge(prev, tid)
         elif event.op == "read" and not event.local:
+            grows = True
             source = self._replayer.wr_source(added.eid)
             if source != tid:
                 self._causal.add_edge(source, tid)
@@ -327,6 +378,7 @@ class OnlineChecker:
         elif event.op == "write":
             writers = self._writers_of_var.setdefault(event.var, [])
             if tid not in writers:
+                grows = True
                 writers.append(tid)
                 # New axiom instances: this writer against every existing read.
                 reads = self._reads_of_var.get(event.var, ())
@@ -350,7 +402,7 @@ class OnlineChecker:
         # search levels (SI/SER) and fired-writer abort rebuilds pay for
         # a real history.
         if event.op == "abort":
-            self._retract_aborted_writer(tid)
+            retracts = self._retract_aborted_writer(tid)
         for state in self._saturation.values():
             if state.pending_instances:
                 state.advance(self._facts)
@@ -363,10 +415,7 @@ class OnlineChecker:
             elif not base_acyclic:
                 verdicts[name] = False
             else:
-                # Search levels (SI/SER/PSI/PC/BS-3 and any spec-registered
-                # extension): batch check on the prefix history, running on
-                # the maintained matrix via adopt_causal_matrix.
-                verdicts[name] = get_level(name).satisfies(self.history())
+                verdicts[name] = self._decide_search(name, grows, retracts)
         newly = tuple(
             name for name in self.levels if not verdicts[name] and previous.get(name, True)
         )
@@ -385,7 +434,30 @@ class OnlineChecker:
         """Feed every event of ``trace``; returns one step per event."""
         return [self.feed(event) for event in trace.events]
 
-    def _retract_aborted_writer(self, tid: TxnId) -> None:
+    def _decide_search(self, name: str, grows: bool, retracts: bool) -> bool:
+        """A search level's verdict on the prefix: carried (rules 1–2 of the
+        module docstring) or searched, hinted by the last witness."""
+        last = self._search_verdicts.get(name)
+        prefix_closed = self._prefix_closed.get(name)
+        if last is not None and prefix_closed is not None and (
+            not (grows or retracts)  # rule 1
+            or (not last and prefix_closed and not retracts)  # rule 2
+        ):
+            self.verdicts_carried += 1
+            return last
+        history = self.history()
+        witness_search = self._witness_searches.get(name)
+        if witness_search is None:
+            verdict = get_level(name).satisfies(history)
+        else:
+            witness = witness_search(history, self._witnesses.get(name, ()))
+            verdict = witness is not None
+            if verdict:
+                self._witnesses[name] = witness
+        self._search_verdicts[name] = verdict
+        return verdict
+
+    def _retract_aborted_writer(self, tid: TxnId) -> bool:
         """Undo the aborted transaction's role as a writer (§2.2.1).
 
         Its writes become invisible, so it leaves every ``writers_of``
@@ -395,15 +467,18 @@ class OnlineChecker:
         retraction; premises are co-free, so un-firing this writer's
         edges cannot un-fire anyone else's).  On mostly-clean streams
         aborted writers fired nothing and the matrix is untouched,
-        keeping the streaming monitor's per-event cost flat.
+        keeping the streaming monitor's per-event cost flat.  Returns
+        whether ``tid`` wrote anything, that is whether its abort hid
+        writes.
         """
         if not self._replayer.wrote_any(tid):
-            return
+            return False
         for writers in self._writers_of_var.values():
             if tid in writers:
                 writers.remove(tid)
         for state in self._saturation.values():
             state.retract_writer(tid)
+        return True
 
     # -- garbage collection (streaming-monitor mechanism) -----------------------
 
@@ -530,6 +605,8 @@ class OnlineChecker:
                 writers[:] = [t for t in writers if t not in drop]
         for tid in drop:
             self._sources_read.pop(tid, None)
+        self._search_verdicts.clear()
+        self._witnesses.clear()
         self._history = None
         self._evicted += len(drop)
         return len(drop)
@@ -614,8 +691,9 @@ class OnlineChecker:
         return tuple(self._steps)
 
     def first_violation(self, level: str) -> Optional[OnlineStep]:
-        """The step at which ``level`` first flipped to violated, if any."""
-        name = level.upper()
+        """The step at which ``level`` (a name or alias) first flipped to
+        violated, if any."""
+        name = get_level(level).name
         if name not in self.levels:
             raise KeyError(f"level {name!r} is not being checked (have {self.levels})")
         for step in self._steps:
@@ -632,9 +710,10 @@ def check_trace(
     ``online`` routes through :class:`OnlineChecker` (event-at-a-time,
     incremental); otherwise each level's batch checker runs once on the
     replayed history.  Both paths return identical verdicts (the
-    batch-equivalence guarantee).
+    batch-equivalence guarantee), keyed by canonical level name whatever
+    alias ``levels`` used.
     """
-    names = [str(l).upper() for l in levels]
+    names = [get_level(str(l)).name for l in levels]
     if online:
         checker = OnlineChecker.from_trace(trace, levels=names)
         checker.replay(trace)

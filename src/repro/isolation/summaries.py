@@ -5,6 +5,10 @@ cached :class:`~repro.core.bitrel.RelationMatrix` and need the same
 pre-computation: ancestor bitmasks for enabledness, per-transaction read
 lists (variable index, wr-source index), write lists, and write-footprint
 bitmasks.  Extracted here so the two checkers cannot drift apart.
+
+:class:`SearchCounter` is the searches' shared work counter: a
+process-wide tally read as a delta around a call, like
+:attr:`~repro.core.bitrel.RelationMatrix.word_ops`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,13 @@ from typing import List, NamedTuple, Set, Tuple
 
 from ..core.bitrel import RelationMatrix
 from ..core.history import History
+
+
+class SearchCounter:
+    """Process-wide work counter of the SER and SI/PC searches."""
+
+    #: DFS nodes visited, memo hits included.
+    search_states: int = 0
 
 
 class DenseSummaries(NamedTuple):

@@ -167,6 +167,21 @@ class TestApiSurface:
         with pytest.raises(KeyError):
             checker.first_violation("CC")
 
+    def test_first_violation_accepts_aliases(self):
+        trace = self.trace()
+        checker = OnlineChecker.from_trace(trace, levels=["snapshot", "serializable"])
+        checker.replay(trace)
+        assert checker.first_violation("snapshot") is checker.first_violation("SI")
+        assert checker.first_violation("serializable") is checker.first_violation("SER")
+        assert checker.first_violation("SER") is not None
+
+    def test_check_trace_keys_aliases_by_canonical_name(self):
+        trace = self.trace()
+        aliases = ["snapshot", "serializable"]
+        batch = check_trace(trace, aliases)
+        assert batch == check_trace(trace, aliases, online=True)
+        assert set(batch) == {"SI", "SER"}
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             OnlineChecker(["x"], levels=["BOGUS"])
